@@ -76,6 +76,12 @@ import (
 	"repro/internal/server"
 )
 
+// HTTP connection bounds (see the http.Server in main).
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 type repeatable []string
 
 func (r *repeatable) String() string     { return strings.Join(*r, ",") }
@@ -209,7 +215,17 @@ func main() {
 		handler = mux
 		log.Printf("stemsd: pprof endpoints enabled at /debug/pprof/")
 	}
-	httpSrv := &http.Server{Addr: *addr, Handler: handler}
+	// Connection bounds: a client that never finishes its request headers,
+	// or an idle keep-alive connection, is dropped instead of holding a
+	// file descriptor forever. There is deliberately no ReadTimeout or
+	// WriteTimeout: a standing query streams its response indefinitely,
+	// and query lifetimes are bounded by per-query deadlines instead.
+	httpSrv := &http.Server{
+		Addr:              *addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errCh := make(chan error, 1)
 	go func() {
 		log.Printf("stemsd: serving on %s with %d tables %v", *addr, cat.Len(), cat.Tables())

@@ -40,6 +40,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -49,11 +50,10 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/eddy"
-	"repro/internal/policy"
 	"repro/internal/server"
 	"repro/internal/sql"
-	"repro/internal/stem"
 	"repro/internal/trace"
 	"repro/internal/tuple"
 )
@@ -278,58 +278,32 @@ func run(stmtSrc string, cat *server.Catalog, prepped map[string]*sql.Stmt, poli
 	if err != nil {
 		return err
 	}
-	pol, err := policy.ByName(policyName, seed)
-	if err != nil {
-		return fmt.Errorf("stemsql: %w", err)
+	spec := core.Spec{
+		Q:           bound.Q,
+		Options:     eddy.Options{Shards: shards},
+		Policy:      policyName,
+		Seed:        seed,
+		BatchSize:   batch,
+		Columnar:    !rowBatches,
+		Trace:       explain,
+		SpillBudget: memBudget,
+		SpillDir:    spillDir,
 	}
-	ropts := eddy.Options{Policy: pol, Shards: shards}
-	var gov *stem.Governor
-	if memBudget > 0 {
-		if spillDir == "" {
-			spillDir = os.TempDir()
-		}
-		gov, err = stem.NewSpillGovernor(memBudget, stem.AllocByProbes, spillDir)
-		if err != nil {
-			return err
-		}
-		defer gov.Close()
-		ropts.Governor = gov
-	}
-	r, err := eddy.NewRouter(bound.Q, ropts)
-	if err != nil {
-		return err
-	}
-	var outs []eddy.Output
-	var collector *trace.Collector
-	var simEvents uint64
 	switch engineName {
 	case "sim":
-		sim := eddy.NewSim(r)
-		if explain {
-			collector = trace.NewCollector(r.Modules())
-			collector.Attach(sim)
-		}
-		outs, err = sim.Run()
-		simEvents = sim.Events()
 	case "concurrent":
-		eng := eddy.NewConcurrent(r, nil)
-		eng.BatchSize = batch
-		eng.Columnar = !rowBatches
-		if explain {
-			collector = trace.NewCollector(r.Modules())
-			collector.AttachConcurrent(eng)
-		}
-		outs, err = eng.Run()
+		spec.Engine = core.Concurrent
 	default:
 		return fmt.Errorf("stemsql: unknown engine %q (want sim or concurrent)", engineName)
 	}
+	x, err := core.New(spec)
 	if err != nil {
-		return err
+		return fmt.Errorf("stemsql: %w", err)
 	}
-	if gov != nil {
-		if serr := gov.Err(); serr != nil {
-			return fmt.Errorf("stemsql: spill I/O failed: %w", serr)
-		}
+	defer x.Close()
+	outs, err := x.Run(context.Background())
+	if err != nil {
+		return fmt.Errorf("stemsql: %w", err)
 	}
 	// ORDER BY / LIMIT are applied above the eddy.
 	tuples := make([]*tuple.Tuple, len(outs))
@@ -362,15 +336,16 @@ func run(stmtSrc string, cat *server.Catalog, prepped map[string]*sql.Stmt, poli
 	}
 	fmt.Fprintf(w, "-- %d rows", len(tuples))
 	if timing {
-		fmt.Fprintf(w, "; %d routing steps", r.Routed())
+		c := x.Counters()
+		fmt.Fprintf(w, "; %d routing steps", c.Routed)
 		if engineName == "sim" {
-			fmt.Fprintf(w, "; %d sim events", simEvents)
+			fmt.Fprintf(w, "; %d sim events", c.SimEvents)
 		}
 	}
 	fmt.Fprintln(w)
-	if collector != nil {
+	if explain {
 		fmt.Fprintln(w)
-		fmt.Fprint(w, collector.Report())
+		fmt.Fprint(w, x.Trace().Report())
 	}
 	return nil
 }

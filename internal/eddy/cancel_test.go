@@ -4,10 +4,15 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/flow"
+	"repro/internal/oracle"
 	"repro/internal/pred"
 	"repro/internal/query"
 	"repro/internal/schema"
@@ -95,6 +100,77 @@ func TestRunContextPreCanceled(t *testing.T) {
 	cancel()
 	if _, err := NewConcurrent(r, clock.NewReal(1)).RunContext(ctx); err == nil {
 		t.Fatal("want cancellation error")
+	}
+	waitGoroutines(t, baseline)
+}
+
+// panicModule fails on its nth batch, before touching the module it wraps.
+type panicModule struct {
+	flow.BatchModule
+	n     int32
+	calls atomic.Int32
+}
+
+func (m *panicModule) ProcessBatch(b *flow.Batch, now clock.Time) ([]flow.Emission, clock.Duration) {
+	if m.calls.Add(1) == m.n {
+		panic("injected module fault")
+	}
+	return m.BatchModule.ProcessBatch(b, now)
+}
+
+// panicRouting is a Router whose module list carries one panicModule.
+type panicRouting struct {
+	*Router
+	mods []flow.Module
+}
+
+func (p panicRouting) Modules() []flow.Module { return p.mods }
+
+// TestModulePanicIsContained runs a query whose SteM panics on its second
+// batch beside a healthy query on the same data: the failing run returns
+// the panic as its error instead of killing the process, the healthy run
+// still matches the oracle, and neither leaks a goroutine.
+func TestModulePanicIsContained(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	q := bigTwoTableQuery(t)
+	bad, err := NewRouter(q, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mods := append([]flow.Module(nil), bad.Modules()...)
+	sm := bad.SteMModule(1)
+	mods[sm] = &panicModule{BatchModule: flow.Lift(mods[sm]), n: 2}
+	good, err := NewRouter(q, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	var badErr, goodErr error
+	var goodOuts []Output
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		_, badErr = NewConcurrent(panicRouting{bad, mods}, clock.NewReal(0.00002)).Run()
+	}()
+	go func() {
+		defer wg.Done()
+		goodOuts, goodErr = NewConcurrent(good, clock.NewReal(0.00002)).Run()
+	}()
+	wg.Wait()
+
+	if badErr == nil || !strings.Contains(badErr.Error(), "injected module fault") {
+		t.Errorf("panicking run: err = %v, want the contained panic", badErr)
+	}
+	if goodErr != nil {
+		t.Fatal(goodErr)
+	}
+	got := make(oracle.Result)
+	for _, o := range goodOuts {
+		got[o.T.ResultKey()]++
+	}
+	if missing, extra := oracle.Diff(oracle.Compute(q), got); len(missing) > 0 || len(extra) > 0 {
+		t.Errorf("healthy run beside the panic: missing=%v extra=%v", missing, extra)
 	}
 	waitGoroutines(t, baseline)
 }

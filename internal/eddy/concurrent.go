@@ -26,8 +26,10 @@
 package eddy
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -596,7 +598,9 @@ func (c *Concurrent) run(ctx context.Context, seeds []*tuple.Tuple) ([]Output, e
 				}
 				putBatch(ev.b)
 			}
-			if c.inflight.Load() == 0 && !c.drainSpill() {
+			// The first error (a contained panic) ends the run: its result
+			// is incomplete anyway, and a failed module may not recover.
+			if c.errSet.Load() || c.inflight.Load() == 0 && !c.drainSpill() {
 				break loop
 			}
 		}
@@ -695,14 +699,7 @@ func (c *Concurrent) routeStaged() {
 		case d.Drop:
 			c.inflight.Add(-1)
 		case d.Delay > 0:
-			mod, delay, dt := d.Module, d.Delay, t
-			c.senders.Add(1)
-			go func() {
-				defer c.senders.Done()
-				if c.waitOrDone(delay) {
-					c.deliverDirect(mod, dt)
-				}
-			}()
+			c.later(d.Delay, d.Module, t, nil)
 		default:
 			c.enqueue(d.Module, t)
 		}
@@ -742,14 +739,7 @@ func (c *Concurrent) routeColBatch(cb *flow.ColBatch) {
 		flow.PutColBatch(cb)
 		c.inflight.Add(-n)
 	case d.Delay > 0:
-		mod, delay := d.Module, d.Delay
-		c.senders.Add(1)
-		go func() {
-			defer c.senders.Done()
-			if c.waitOrDone(delay) {
-				c.deliverDirectCol(mod, cb)
-			}
-		}()
+		c.later(d.Delay, d.Module, nil, cb)
 	default:
 		c.enqueueCol(d.Module, cb)
 	}
@@ -1021,15 +1011,21 @@ func (c *Concurrent) worker(mod int, wg *sync.WaitGroup) {
 		if !ok {
 			return
 		}
-		if cm != nil {
-			in := b.Len()
-			rows, cols, cost := cm.ProcessColBatch(b, c.clk.Now())
-			c.finishCol(mod, 0, b, in, rows, cols, cost)
-			continue
-		}
-		ems, cost := m.ProcessBatch(b, c.clk.Now())
-		c.finishBatch(mod, 0, b, ems, cost)
+		c.serve(mod, b, m, cm)
 	}
+}
+
+// serve services one batch of an unsharded module; a panic is contained.
+func (c *Concurrent) serve(mod int, b *flow.Batch, m flow.BatchModule, cm flow.ColModule) {
+	in := b.Len()
+	defer c.contain(mod, in)
+	if cm != nil {
+		rows, cols, cost := cm.ProcessColBatch(b, c.clk.Now())
+		c.finishCol(mod, 0, b, in, rows, cols, cost)
+		return
+	}
+	ems, cost := m.ProcessBatch(b, c.clk.Now())
+	c.finishBatch(mod, 0, b, ems, cost)
 }
 
 // shardWorker services one shard of a sharded module: it pops the shard's
@@ -1048,14 +1044,103 @@ func (c *Concurrent) shardWorker(mod, shard int, wg *sync.WaitGroup) {
 		if !ok {
 			return
 		}
-		if cm != nil {
-			in := b.Len()
-			rows, cols, cost := cm.ProcessColShard(shard, b, c.clk.Now())
-			c.finishCol(mod, shard, b, in, rows, cols, cost)
-			continue
+		c.serveShard(mod, shard, b, m, cm)
+	}
+}
+
+// serveShard services one batch of one shard; a panic is contained.
+func (c *Concurrent) serveShard(mod, shard int, b *flow.Batch, m flow.Sharded, cm flow.ColSharded) {
+	in := b.Len()
+	defer c.contain(mod, in)
+	if cm != nil {
+		rows, cols, cost := cm.ProcessColShard(shard, b, c.clk.Now())
+		c.finishCol(mod, shard, b, in, rows, cols, cost)
+		return
+	}
+	ems, cost := m.ProcessShard(shard, b, c.clk.Now())
+	c.finishBatch(mod, shard, b, ems, cost)
+}
+
+// contain is deferred around module code on engine goroutines — batch
+// service and delayed deliveries. A panic there becomes the run's error
+// instead of killing the process: the n rows in hand leave the dataflow,
+// and the eddy is woken so it sees the error and stops the run. The
+// goroutine then carries on (a worker keeps draining its inbox until the
+// shutdown closes it).
+func (c *Concurrent) contain(mod, n int) {
+	r := recover()
+	if r == nil {
+		return
+	}
+	c.setErr(fmt.Errorf("eddy: module %s panicked: %v", c.r.Modules()[mod].Name(), r))
+	c.inflight.Add(-int64(n))
+	c.send(eddyEvent{fb: newFeedback(policy.Feedback{Module: mod, Emitted: -1})})
+}
+
+// later delivers a delayed routing decision — a row tuple t or a columnar
+// batch cb — to module mod's inboxes after the modeled delay d, on a
+// tracked sender goroutine, unless the run winds down first. Choosing the
+// shard runs module code, so a panic is contained.
+func (c *Concurrent) later(d clock.Duration, mod int, t *tuple.Tuple, cb *flow.ColBatch) {
+	c.senders.Add(1)
+	go func() {
+		defer c.senders.Done()
+		if !c.waitOrDone(d) {
+			return
 		}
-		ems, cost := m.ProcessShard(shard, b, c.clk.Now())
-		c.finishBatch(mod, shard, b, ems, cost)
+		if t != nil {
+			defer c.contain(mod, 1)
+			c.deliverDirect(mod, t)
+			return
+		}
+		defer c.contain(mod, cb.Rows())
+		c.deliverDirectCol(mod, cb)
+	}()
+}
+
+// lateEvent is a delayed emission — a row tuple t or a columnar batch cb —
+// waiting for its due time.
+type lateEvent struct {
+	due clock.Time
+	t   *tuple.Tuple
+	cb  *flow.ColBatch
+}
+
+// sendLate sends one service's delayed emissions to the eddy on a single
+// tracked sender goroutine, each no earlier than its due time, in due order
+// with ties in emission order, unless the run winds down first. One
+// goroutine per service rather than per row keeps a paced scan's rows — and
+// its EOT, due together with the last row — arriving in scan order, which
+// arrival-ordered state such as window eviction depends on.
+func (c *Concurrent) sendLate(late []lateEvent) {
+	if len(late) == 0 {
+		return
+	}
+	slices.SortStableFunc(late, func(x, y lateEvent) int { return cmp.Compare(x.due, y.due) })
+	c.senders.Add(1)
+	go func() {
+		defer c.senders.Done()
+		for _, l := range late {
+			if d := clock.Duration(l.due - c.clk.Now()); d > 0 && !c.waitOrDone(d) {
+				return
+			}
+			if l.t != nil {
+				c.send(eddyEvent{b: getBatchOf(l.t)})
+				continue
+			}
+			shell := getBatch()
+			shell.Col = l.cb
+			c.send(eddyEvent{b: shell})
+		}
+	}()
+}
+
+// send delivers an event to the eddy from a goroutine that must not block
+// past the run's wind-down.
+func (c *Concurrent) send(ev eddyEvent) {
+	select {
+	case c.events <- ev:
+	case <-c.done:
 	}
 }
 
@@ -1102,20 +1187,14 @@ func (c *Concurrent) finishBatch(mod, shard int, b *flow.Batch, ems []flow.Emiss
 	}
 	putBatch(b)
 	var ready *flow.Batch
+	var late []lateEvent
 	for _, em := range ems {
 		switch {
 		case em.Delay > 0:
-			em := em
-			c.senders.Add(1)
-			go func() {
-				defer c.senders.Done()
-				if c.waitOrDone(em.Delay) {
-					select {
-					case c.events <- eddyEvent{b: getBatchOf(em.T)}:
-					case <-c.done:
-					}
-				}
-			}()
+			if late == nil {
+				late = make([]lateEvent, 0, len(ems))
+			}
+			late = append(late, lateEvent{due: fb.Now.Add(em.Delay), t: em.T})
 		case c.BatchSize == 1:
 			// Tuple-at-a-time mode: every emission is its own event,
 			// exactly as the pre-batching engine sent them.
@@ -1131,6 +1210,9 @@ func (c *Concurrent) finishBatch(mod, shard int, b *flow.Batch, ems []flow.Emiss
 		c.events <- eddyEvent{b: ready}
 	}
 	c.events <- eddyEvent{fb: newFeedback(fb)}
+	// Delayed emissions start after the feedback is queued, so the eddy
+	// observes this service before the rows it released.
+	c.sendLate(late)
 	if delta < 0 {
 		if c.inflight.Add(delta) == 0 {
 			// Wake the eddy loop so it observes quiescence; Emitted -1
@@ -1194,21 +1276,10 @@ func (c *Concurrent) finishCol(mod, shard int, b *flow.Batch, inRows int, rowEms
 	b.Col = nil
 	putBatch(b)
 
+	var late []lateEvent
 	for _, em := range colEms {
 		if em.Delay > 0 {
-			em := em
-			c.senders.Add(1)
-			go func() {
-				defer c.senders.Done()
-				if c.waitOrDone(em.Delay) {
-					shell := getBatch()
-					shell.Col = em.B
-					select {
-					case c.events <- eddyEvent{b: shell}:
-					case <-c.done:
-					}
-				}
-			}()
+			late = append(late, lateEvent{due: fb.Now.Add(em.Delay), cb: em.B})
 			continue
 		}
 		shell := getBatch()
@@ -1219,17 +1290,10 @@ func (c *Concurrent) finishCol(mod, shard int, b *flow.Batch, inRows int, rowEms
 	for _, em := range rowEms {
 		switch {
 		case em.Delay > 0:
-			em := em
-			c.senders.Add(1)
-			go func() {
-				defer c.senders.Done()
-				if c.waitOrDone(em.Delay) {
-					select {
-					case c.events <- eddyEvent{b: getBatchOf(em.T)}:
-					case <-c.done:
-					}
-				}
-			}()
+			if late == nil {
+				late = make([]lateEvent, 0, len(rowEms))
+			}
+			late = append(late, lateEvent{due: fb.Now.Add(em.Delay), t: em.T})
 		default:
 			if ready == nil {
 				ready = getBatch()
@@ -1241,6 +1305,7 @@ func (c *Concurrent) finishCol(mod, shard int, b *flow.Batch, inRows int, rowEms
 		c.events <- eddyEvent{b: ready}
 	}
 	c.events <- eddyEvent{fb: newFeedback(fb)}
+	c.sendLate(late)
 	if delta < 0 {
 		if c.inflight.Add(delta) == 0 {
 			c.events <- eddyEvent{fb: newFeedback(policy.Feedback{Module: mod, Emitted: -1})}

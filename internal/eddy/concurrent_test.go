@@ -7,6 +7,9 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/oracle"
+	"repro/internal/query"
+	"repro/internal/schema"
+	"repro/internal/source"
 )
 
 // runConcurrent executes a query on the channel engine with a heavily
@@ -150,5 +153,37 @@ func TestConcurrentMatchesSimResults(t *testing.T) {
 	m1, e1 := oracle.Diff(simSet, conSet)
 	if len(m1) > 0 || len(e1) > 0 {
 		t.Errorf("engines disagree: missing=%v extra=%v", m1, e1)
+	}
+}
+
+// TestPacedScanArrivesInOrder checks that a paced scan's rows reach the
+// eddy in scan order on the concurrent engine, so arrival-ordered state —
+// window eviction, build timestamps — follows the scan. The rows are due a
+// few nanoseconds of wall time apart, much closer than goroutine wake-ups
+// are ordered.
+func TestPacedScanArrivesInOrder(t *testing.T) {
+	const n = 2000
+	rows := make([][]int64, n)
+	for i := range rows {
+		rows[i] = []int64{int64(i), int64(i)}
+	}
+	rT := schema.MustTable("R", schema.IntCol("key"), schema.IntCol("a"))
+	q := query.MustNew([]*schema.Table{rT}, nil,
+		[]query.AMDecl{scanAM(0, source.MustTable(rT, rowsOf(rows)), clock.Microsecond)})
+	r, err := NewRouter(q, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs, err := NewConcurrent(r, clock.NewReal(0.001)).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(outs) != n {
+		t.Fatalf("%d results, want %d", len(outs), n)
+	}
+	for i, o := range outs {
+		if k := o.T.Value(0, 0).I; k != int64(i) {
+			t.Fatalf("result %d is row %d: the scan arrived out of order", i, k)
+		}
 	}
 }

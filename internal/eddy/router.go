@@ -162,8 +162,11 @@ type Router struct {
 
 	// candScratch backs candidates(): routing is single-goroutine (the eddy
 	// loop, or the simulator's event loop) and no policy retains the slice
-	// past Choose, so one reused buffer serves every decision.
+	// past Choose, so one reused buffer serves every decision. parts and
+	// partOf back RouteBatch's partitioning the same way.
 	candScratch []policy.Candidate
+	parts       []partition
+	partOf      []int
 }
 
 // NewRouter builds the module graph for a query.
@@ -436,48 +439,60 @@ func (r *Router) RouteBatch(ts []*tuple.Tuple, env policy.Env, dst []Decision) [
 	}
 
 	// Pass 1: resolve constraint-forced moves per tuple and partition the
-	// rest by routing signature.
-	type group struct {
-		idxs []int
-	}
-	var order []routeSig
-	groups := make(map[routeSig]*group)
+	// rest by routing signature. A batch holds few distinct signatures, so
+	// a linear search over the partitions beats a map, and the reused
+	// scratch keeps routing allocation-free.
+	parts, partOf := r.parts[:0], r.partOf[:0]
 	for i, t := range ts {
 		if d, ok := r.routeFast(t); ok {
 			dst[base+i] = d
+			partOf = append(partOf, -1)
 			continue
 		}
 		sig := sigOf(t)
-		g := groups[sig]
-		if g == nil {
-			g = &group{}
-			groups[sig] = g
-			order = append(order, sig)
+		p := 0
+		for p < len(parts) && parts[p].sig != sig {
+			p++
 		}
-		g.idxs = append(g.idxs, i)
+		if p == len(parts) {
+			parts = append(parts, partition{sig: sig, first: i})
+		}
+		parts[p].n++
+		partOf = append(partOf, p)
 	}
+	r.parts, r.partOf = parts, partOf
 
 	// Pass 2: one candidate computation and one policy decision per
 	// partition, applied to every member.
-	for _, sig := range order {
-		g := groups[sig]
-		rep := ts[g.idxs[0]]
+	for p, part := range parts {
+		rep := ts[part.first]
 		cands := r.candidates(rep)
-		if len(cands) == 0 {
-			for _, i := range g.idxs {
-				dst[base+i] = r.noCandidates(ts[i])
+		choice := -1
+		if len(cands) > 0 {
+			choice = r.choose(rep, part.n, cands, env)
+			if choice < 0 || choice >= len(cands) {
+				choice = 0
 			}
-			continue
 		}
-		choice := r.choose(rep, len(g.idxs), cands, env)
-		if choice < 0 || choice >= len(cands) {
-			choice = 0
-		}
-		for _, i := range g.idxs {
-			dst[base+i] = r.applyChoice(ts[i], cands[choice])
+		for i := part.first; i < len(ts); i++ {
+			switch {
+			case partOf[i] != p:
+			case choice < 0:
+				dst[base+i] = r.noCandidates(ts[i])
+			default:
+				dst[base+i] = r.applyChoice(ts[i], cands[choice])
+			}
 		}
 	}
 	return dst
+}
+
+// partition is one RouteBatch group: the tuples sharing a routing
+// signature, represented by the first of them.
+type partition struct {
+	sig   routeSig
+	first int
+	n     int
 }
 
 // RouteCol decides the fate of a columnar batch as one unit. The batch's

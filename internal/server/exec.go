@@ -1,9 +1,9 @@
 // exec.go executes one statement for one request: parse, bind against a
-// catalog snapshot, build a per-query router and engine, and stream results
-// back as NDJSON while they are produced. Each query gets its own policy,
-// router, and engine (none are safe for cross-query sharing); only the
-// catalog's source tables are shared, and those are immutable once
-// registered.
+// catalog snapshot, run it through a core.Exec (fresh, or pooled by the plan
+// cache), and stream results back as NDJSON while they are produced. An
+// Exec — policy, router, engine — serves one query at a time; only the
+// catalog's source tables and shared SteM states are shared across
+// queries, and those are immutable once built.
 package server
 
 import (
@@ -13,16 +13,15 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"os"
 	"runtime/pprof"
 	"strconv"
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/core"
 	"repro/internal/eddy"
 	"repro/internal/policy"
 	"repro/internal/sql"
-	"repro/internal/stem"
 	"repro/internal/trace"
 	"repro/internal/tuple"
 	"repro/internal/value"
@@ -397,39 +396,20 @@ func (s *Server) beginQuery() bool {
 	return true
 }
 
-// execute binds and runs one SELECT, feeding result rows to sink. Rows
-// stream as the eddy emits them unless the statement has ORDER BY or LIMIT
-// (both are applied above the eddy, so those queries buffer and arrange
-// first). Engine-level statistics are returned even on a canceled run.
+// execute binds and runs one SELECT, feeding result rows to sink (see run).
+// Engine-level statistics are returned even on a canceled run.
 //
 // Concurrent-engine queries without a memory budget run through the plan
 // cache (executeCached): the bound statement is reused across executions
-// with the same canonical text and knobs, and router+engine shells are
-// pooled. Sim-engine and governed queries take the fresh-build path — a
-// spill governor is per-query disk state no shell may share.
+// with the same canonical text and knobs, and core.Exec shells are pooled.
+// Sim-engine and governed queries take the fresh-build path — a spill
+// governor is per-query disk state no shell may share.
 func (s *Server) execute(ctx context.Context, req QueryRequest, st *sql.Stmt, canon string, sink func(*tuple.Tuple, []sql.OutputCol) error) (execStats, error) {
 	var stats execStats
 	start := time.Now()
-	seed := req.Seed
-	if seed == 0 {
-		seed = s.cfg.Seed
-	}
-	polName := req.Policy
-	if polName == "" {
-		polName = s.cfg.Policy
-	}
-	shards := req.Shards
-	if shards == 0 {
-		shards = s.cfg.Shards
-	}
-	batch := req.Batch
-	if batch == 0 {
-		batch = s.cfg.BatchSize
-	}
-	switch req.Engine {
-	case "", "concurrent", "sim":
-	default:
-		return stats, userError{fmt.Errorf("unknown engine %q (want concurrent or sim)", req.Engine)}
+	key, err := s.planKey(req, canon)
+	if err != nil {
+		return stats, err
 	}
 	// Per-query memory limit: every admitted query runs under its own byte
 	// governor (real disk spill + replay), so MaxInFlight × budget bounds
@@ -449,57 +429,107 @@ func (s *Server) execute(ctx context.Context, req QueryRequest, st *sql.Stmt, ca
 	}
 
 	if s.plans != nil && budget == 0 && req.Engine != "sim" {
-		key := planKey{canon: canon, policy: polName, seed: seed, shards: shards, batch: batch}
 		return s.executeCached(ctx, req, st, key, sink, start)
 	}
 
-	pol, err := policy.ByName(polName, seed)
-	if err != nil {
-		return stats, userError{err}
-	}
 	snap := s.cat.Snapshot()
 	bound, err := sql.Bind(st, snap)
 	if err != nil {
 		return stats, userError{err}
 	}
-	ropts := eddy.Options{Policy: pol, Shards: shards}
+	spec := s.spec(bound, key, req.Engine)
+	spec.SpillBudget = budget
+	spec.SpillDir = s.cfg.SpillDir
 	// Catalog-owned shared SteMs: governed queries stay all-private (a
 	// spill governor is per-query state, and attached tables need none),
 	// so attachment is gated on running without a memory budget. The
 	// released-only-after-return defer is safe because both engines leave
-	// zero goroutines behind when RunContext/Run returns.
+	// zero goroutines behind when their run returns.
 	if budget == 0 {
-		shared, err := s.shared.planAttach(st, bound.Q, snap, shards)
+		shared, err := s.shared.planAttach(st, bound.Q, snap, key.shards)
 		if err != nil {
 			return stats, err
 		}
 		defer shared.release()
-		if shared != nil {
-			ropts.SharedFor = shared.sharedFor
-			stats.Shared = true
-		}
+		spec.Shared = shared.statesOrNil()
+		stats.Shared = shared != nil
 	}
-	var gov *stem.Governor
-	if budget > 0 {
-		dir := s.cfg.SpillDir
-		if dir == "" {
-			dir = os.TempDir()
-		}
-		gov, err = stem.NewSpillGovernor(budget, stem.AllocByProbes, dir)
-		if err != nil {
-			return stats, err
-		}
-		// Close removes every spill segment on any exit, including a
-		// session DELETE or deadline canceling the run mid-join.
-		defer gov.Close()
-		defer s.trackGovernor(gov)()
-		ropts.Governor = gov
-	}
-	r, err := eddy.NewRouter(bound.Q, ropts)
+	x, err := core.New(spec)
 	if err != nil {
-		return stats, userError{err}
+		return stats, newExecError(err)
 	}
+	// Close removes every spill segment on any exit, including a session
+	// DELETE or deadline canceling the run mid-join.
+	defer x.Close()
+	if gov := x.Governor(); gov != nil {
+		defer s.trackGovernor(gov)()
+	}
+	err = s.run(ctx, req, x, bound, sink, &stats, start)
+	return stats, err
+}
 
+// planKey resolves a request's knobs against the server defaults and
+// validates its engine; the key both indexes the plan cache and seeds every
+// execution spec.
+func (s *Server) planKey(req QueryRequest, canon string) (planKey, error) {
+	k := planKey{canon: canon, policy: req.Policy, seed: req.Seed, shards: req.Shards, batch: req.Batch}
+	if k.policy == "" {
+		k.policy = s.cfg.Policy
+	}
+	if k.seed == 0 {
+		k.seed = s.cfg.Seed
+	}
+	if k.shards == 0 {
+		k.shards = s.cfg.Shards
+	}
+	if k.batch == 0 {
+		k.batch = s.cfg.BatchSize
+	}
+	switch req.Engine {
+	case "", "concurrent", "sim":
+		return k, nil
+	}
+	return k, userError{fmt.Errorf("unknown engine %q (want concurrent or sim)", req.Engine)}
+}
+
+// spec is the execution spec every server query starts from: the resolved
+// knobs over the server-wide engine settings, with the trace collector on
+// (GET /queries records carry module stats).
+func (s *Server) spec(bound *sql.Bound, k planKey, engine string) core.Spec {
+	spec := core.Spec{
+		Q:           bound.Q,
+		Options:     eddy.Options{Shards: k.shards},
+		Policy:      k.policy,
+		Seed:        k.seed,
+		Engine:      core.Concurrent,
+		BatchSize:   k.batch,
+		Columnar:    !s.cfg.RowBatches,
+		Compression: s.cfg.TimeCompression,
+		Trace:       true,
+	}
+	if engine == "sim" {
+		spec.Engine = core.Sim
+	}
+	return spec
+}
+
+// newExecError classifies a core.New failure: spill storage is the
+// server's fault, anything else (an unknown policy, an unroutable query)
+// the request's.
+func newExecError(err error) error {
+	if errors.Is(err, core.ErrSpill) {
+		return err
+	}
+	return userError{err}
+}
+
+// run executes one round of x and streams its results to sink: rows flow as
+// the eddy emits them unless the statement has ORDER BY or LIMIT (both are
+// applied above the eddy, so those queries buffer and arrange first).
+// Engine-level statistics land in stats even on a failed run; the policy's
+// learned state is snapshotted into the trace only when the request asked
+// for an explain.
+func (s *Server) run(ctx context.Context, req QueryRequest, x *core.Exec, bound *sql.Bound, sink func(*tuple.Tuple, []sql.OutputCol) error, stats *execStats, start time.Time) error {
 	ctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
 
@@ -516,63 +546,26 @@ func (s *Server) execute(ctx context.Context, req QueryRequest, st *sql.Stmt, ca
 		}
 		stats.Rows++
 	}
+	if streaming {
+		x.SetOutput(func(t *tuple.Tuple, at clock.Time) { emit(t) })
+		defer x.SetOutput(nil)
+	}
+	outs, runErr := x.Run(ctx)
 
-	// The collector rides every execution (GET /queries records carry
-	// module stats); the policy's learned state is snapshotted into the
-	// trace only when the request asked for an explain.
-	coll := trace.NewCollector(r.Modules())
-	var outs []eddy.Output
-	var runErr error
-	switch req.Engine {
-	case "", "concurrent":
-		eng := eddy.NewConcurrent(r, clock.NewReal(s.cfg.TimeCompression))
-		eng.BatchSize = batch
-		eng.Columnar = !s.cfg.RowBatches
-		if streaming {
-			eng.OnOutput = func(t *tuple.Tuple, at clock.Time) { emit(t) }
-		}
-		coll.AttachConcurrent(eng)
-		outs, runErr = eng.RunContext(ctx)
-	case "sim":
-		sim := eddy.NewSim(r)
-		sim.Ctx = ctx
-		if streaming {
-			sim.OnOutput = func(t *tuple.Tuple, at clock.Time) { emit(t) }
-		}
-		coll.Attach(sim)
-		outs, runErr = sim.Run()
-	default:
-		return stats, userError{fmt.Errorf("unknown engine %q (want concurrent or sim)", req.Engine)}
-	}
-
-	stats.Routed = r.Routed()
-	for _, a := range r.AMs() {
-		stats.Probes += a.Stats().Probes
-	}
-	for _, sm := range r.SteMs() {
-		stats.Builds += sm.Stats().Builds
-	}
+	c := x.Counters()
+	stats.Routed, stats.Probes, stats.Builds = c.Routed, c.Probes, c.Builds
+	stats.Spilled = c.SpilledBytes > 0
 	stats.Elapsed = time.Since(start)
 	var tracePol policy.Policy
 	if req.Explain {
-		tracePol = pol
+		tracePol = x.Policy()
 	}
-	stats.Trace = coll.Record(tracePol)
+	stats.Trace = x.Trace().Record(tracePol)
 	if runErr != nil {
-		return stats, runErr
-	}
-	if gov != nil {
-		if serr := gov.Err(); serr != nil {
-			return stats, fmt.Errorf("spill I/O failed (results fell back to resident storage): %w", serr)
-		}
-		_, sp := gov.BytesStats()
-		stats.Spilled = sp > 0
+		return runErr
 	}
 	if sinkErr != nil {
-		return stats, sinkErr
-	}
-	if n := r.Stuck(); n > 0 {
-		return stats, fmt.Errorf("internal error: %d tuples had no legal route", n)
+		return sinkErr
 	}
 	if !streaming {
 		ts := make([]*tuple.Tuple, len(outs))
@@ -582,24 +575,20 @@ func (s *Server) execute(ctx context.Context, req QueryRequest, st *sql.Stmt, ca
 		for _, t := range bound.Arrange(ts) {
 			emit(t)
 		}
-		if sinkErr != nil {
-			return stats, sinkErr
-		}
 	}
-	return stats, nil
+	return sinkErr
 }
 
 // executeCached runs one SELECT through the plan cache: the bound statement
 // is shared across executions keyed by canonical text + knobs + catalog
-// version, and router+engine shells are pooled per entry. The routing policy
-// stays with its shell across executions — the cache key pins its name and
-// seed, so reuse only ever continues the same learner, and what it learned
-// on earlier executions of the statement carries over (a warm plan routes
-// better than a cold one). The clock is installed fresh by the Reset
-// sequence (it anchors a start time); everything else survives reuse
-// untouched because eddy.Concurrent.RunContext leaves zero goroutines and
-// Reset restores the shell to a provably pristine state
-// (internal/eddy/reset_test.go).
+// version, and executions (core.Exec shells) are pooled per entry. The
+// routing policy stays with its shell across executions — the cache key
+// pins its name and seed, so reuse only ever continues the same learner,
+// and what it learned on earlier executions of the statement carries over
+// (a warm plan routes better than a cold one). Every execution returns its
+// shell to the pool: core.Exec resets a clean shell in place and rebuilds a
+// failed one before its next run (internal/eddy/reset_test.go pins the
+// in-place reset).
 func (s *Server) executeCached(ctx context.Context, req QueryRequest, st *sql.Stmt, key planKey, sink func(*tuple.Tuple, []sql.OutputCol) error, start time.Time) (execStats, error) {
 	var stats execStats
 	snap, version := s.cat.SnapshotVersioned()
@@ -617,8 +606,8 @@ func (s *Server) executeCached(ctx context.Context, req QueryRequest, st *sql.St
 	// Shared-SteM attachments are per-execution (the sync.Pool may drop a
 	// shell at any time, so a shell can never own a refcount): attach here,
 	// release after the run has fully unwound. A pooled shell is reusable
-	// only if its router was built against exactly these states — a rebuild
-	// after REGISTER or an eviction changes the pointers and the shell is
+	// only if it was built against exactly these states — a rebuild after
+	// REGISTER or an eviction changes the pointers and the shell is
 	// discarded in favor of a fresh build.
 	shared, err := s.shared.planAttach(st, bound.Q, snap, key.shards)
 	if err != nil {
@@ -631,111 +620,19 @@ func (s *Server) executeCached(ctx context.Context, req QueryRequest, st *sql.St
 		shell = nil
 	}
 	if shell == nil {
-		pol, err := policy.ByName(key.policy, key.seed)
+		spec := s.spec(bound, key, "")
+		spec.Shared = shared.statesOrNil()
+		x, err := core.New(spec)
 		if err != nil {
-			return stats, userError{err}
+			return stats, newExecError(err)
 		}
-		ropts := eddy.Options{Policy: pol, Shards: key.shards}
-		if shared != nil {
-			ropts.SharedFor = shared.sharedFor
-		}
-		r, err := eddy.NewRouter(bound.Q, ropts)
-		if err != nil {
-			return stats, userError{err}
-		}
-		shell = &engineShell{
-			r:      r,
-			eng:    eddy.NewConcurrent(r, clock.NewReal(s.cfg.TimeCompression)),
-			coll:   trace.NewCollector(r.Modules()),
-			shared: shared.statesOrNil(),
-		}
-	} else {
-		// The Reset sequence restores a pristine shell; the collector joins
-		// it so a pooled execution can never report a predecessor's stats
-		// (eng.Reset also cleared the hooks that fed it).
-		shell.r.Reset(nil)
-		shell.eng.Reset()
-		shell.eng.SetClock(clock.NewReal(s.cfg.TimeCompression))
-		shell.coll.Reset()
+		shell = &engineShell{x: x, shared: spec.Shared}
 	}
-	r, eng := shell.r, shell.eng
+	// The deferred put runs after the arrange/emit in run, so the shell is
+	// never reusable while its outputs are still being read.
+	defer entry.putShell(shell)
 	stats.CacheHit = hit
 	stats.Shared = shared != nil
-
-	// Only cleanly completed shells go back in the pool; a canceled or
-	// failed run may leave batches stranded mid-flight, and while Reset
-	// could recover them, pooling only clean shells keeps the invariant
-	// easy to audit. The defer runs after the arrange/emit below, so the
-	// shell is never reusable while its outputs are still being read.
-	clean := false
-	defer func() {
-		if clean {
-			eng.OnOutput = nil
-			eng.OnService = nil
-			entry.putShell(shell)
-		}
-	}()
-
-	ctx, cancel := context.WithCancelCause(ctx)
-	defer cancel(nil)
-
-	streaming := len(bound.OrderBy) == 0 && bound.Limit < 0
-	var sinkErr error
-	emit := func(t *tuple.Tuple) {
-		if sinkErr != nil {
-			return
-		}
-		if err := sink(t, bound.Output); err != nil {
-			sinkErr = err
-			cancel(fmt.Errorf("client write failed: %w", err))
-			return
-		}
-		stats.Rows++
-	}
-
-	eng.BatchSize = key.batch
-	eng.Columnar = !s.cfg.RowBatches
-	if streaming {
-		eng.OnOutput = func(t *tuple.Tuple, at clock.Time) { emit(t) }
-	}
-	shell.coll.AttachConcurrent(eng)
-	outs, runErr := eng.RunContext(ctx)
-
-	stats.Routed = r.Routed()
-	for _, a := range r.AMs() {
-		stats.Probes += a.Stats().Probes
-	}
-	for _, sm := range r.SteMs() {
-		stats.Builds += sm.Stats().Builds
-	}
-	stats.Elapsed = time.Since(start)
-	var tracePol policy.Policy
-	if req.Explain {
-		tracePol = r.Policy()
-	}
-	stats.Trace = shell.coll.Record(tracePol)
-	stuck := r.Stuck()
-	clean = runErr == nil && stuck == 0
-	if runErr != nil {
-		return stats, runErr
-	}
-	if sinkErr != nil {
-		return stats, sinkErr
-	}
-	if stuck > 0 {
-		return stats, fmt.Errorf("internal error: %d tuples had no legal route", stuck)
-	}
-	if !streaming {
-		ts := make([]*tuple.Tuple, len(outs))
-		for i, o := range outs {
-			ts[i] = o.T
-		}
-		for _, t := range bound.Arrange(ts) {
-			emit(t)
-		}
-		if sinkErr != nil {
-			return stats, sinkErr
-		}
-	}
-	return stats, nil
+	err = s.run(ctx, req, shell.x, bound, sink, &stats, start)
+	return stats, err
 }

@@ -1,7 +1,7 @@
 // plancache.go is the server's bounded plan/router cache: the Prepare half
 // of the Parse → Prepare → Execute split. A cache entry holds a statement
 // bound at a specific catalog version plus a pool of reset-and-reuse
-// router+engine shells, so a hot EXECUTE (or a repeated ad-hoc SELECT, which
+// core.Exec shells, so a hot EXECUTE (or a repeated ad-hoc SELECT, which
 // auto-prepares under its canonical text) admission-checks and runs without
 // re-parsing, re-binding, or rebuilding the operator graph.
 //
@@ -18,10 +18,9 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/eddy"
+	"repro/internal/core"
 	"repro/internal/sql"
 	"repro/internal/stem"
-	"repro/internal/trace"
 )
 
 // planKey identifies one executable plan shape: the canonical statement
@@ -36,22 +35,14 @@ type planKey struct {
 	batch  int
 }
 
-// engineShell is one reusable router+engine pair. A shell is never shared:
-// an execution takes it from the pool (or builds it fresh), runs, and
-// returns it only after a clean completion — eddy.Concurrent.RunContext
-// guarantees zero surviving goroutines, and the Reset contract (see
-// internal/eddy/reset_test.go) makes a reset shell indistinguishable from a
-// freshly built one.
+// engineShell is one pooled execution. A shell is never shared: an
+// execution takes it from the pool (or builds it fresh), runs, and returns
+// it; core.Exec readies it for the next run (in place after a clean run,
+// rebuilt after a failed one), and its trace collector reports a single
+// execution while the routing policy deliberately keeps what it learned.
 type engineShell struct {
-	r   *eddy.Router
-	eng *eddy.Concurrent
-	// coll is the shell's trace collector, pooled with the shell and Reset
-	// before every reuse — the per-execution-stats invariant: a pooled
-	// shell never carries observed statistics across runs. (The routing
-	// policy deliberately does carry its learned state over; the collector
-	// reports a single execution.)
-	coll *trace.Collector
-	// shared records the shared-SteM states (by table position) the router
+	x *core.Exec
+	// shared records the shared-SteM states (by table position) the shell
 	// was built against; executions pointer-compare it with their own
 	// attachments and discard the shell on mismatch, since a REGISTER or an
 	// eviction produces a new state a stale router must not probe. The
@@ -84,14 +75,13 @@ type planEntry struct {
 func (e *planEntry) unref() { e.refs.Add(-1) }
 
 // getShell takes a pooled shell, or nil when the pool is empty (the caller
-// builds one). The shell comes back dirty — the caller resets it with the
-// execution's fresh policy and clock before running.
+// builds one). The shell's next Run resets it first.
 func (e *planEntry) getShell() *engineShell {
 	sh, _ := e.shells.Get().(*engineShell)
 	return sh
 }
 
-// putShell returns a shell after a clean run. Dead entries drop it: a shell
+// putShell returns a shell after its run. Dead entries drop it: a shell
 // built against an invalidated plan must never serve a later execution.
 func (e *planEntry) putShell(sh *engineShell) {
 	if e.dead.Load() {

@@ -19,6 +19,8 @@
 //     *source.Table, so an entry is stale exactly when its build-input
 //     pointer no longer matches the catalog's. The next attach of a stale
 //     key rebuilds; running queries keep the old state until they release.
+//   - A state whose spill read failed is retired on release, like a stale
+//     one: the next attach rebuilds it.
 //   - Eviction is capacity-driven: when capBytes is set, the
 //     least-recently-attached unreferenced entries are closed until the
 //     total footprint fits. Referenced entries are never evicted.
@@ -184,6 +186,15 @@ func (m *sharedStems) release(e *sharedEntry) {
 	e.refs--
 	if e.err == nil {
 		m.detaches.Add(1)
+	}
+	if !e.stale && e.state != nil && e.state.Err() != nil {
+		// A failed spill read is sticky: retire the state so the next
+		// attach rebuilds it instead of failing every query until the next
+		// REGISTER.
+		e.stale = true
+		if m.entries[e.key] == e {
+			delete(m.entries, e.key)
+		}
 	}
 	if e.refs == 0 && e.stale {
 		drop = e.state

@@ -299,3 +299,71 @@ func TestSharedStemsEviction(t *testing.T) {
 	}
 	srv.Shutdown(time.Second)
 }
+
+// TestSharedSpillReadFailureIsAnError truncates the sealed segments of a
+// shared, spilled SteM under the server's spill dir and checks that the
+// failed reads reach the client as an error — on the plan-cache path
+// (EXECUTE) and on the fresh-build path (an ad-hoc sim-engine SELECT) —
+// instead of a 200 with rows missing. The failed state is retired on
+// release, so the next query rebuilds it and gets every row again.
+func TestSharedSpillReadFailureIsAnError(t *testing.T) {
+	dir := t.TempDir()
+	spillDir := t.TempDir()
+	var rcsv, scsv strings.Builder
+	rcsv.WriteString("key,a\n")
+	for i := 0; i < 400; i++ {
+		fmt.Fprintf(&rcsv, "%d,%d\n", i, i%20)
+	}
+	scsv.WriteString("x,y\n")
+	for j := 0; j < 20; j++ {
+		fmt.Fprintf(&scsv, "%d,%d\n", j, j*7)
+	}
+	cat := NewCatalog(time.Microsecond, dir)
+	for name, content := range map[string]string{"r": rcsv.String(), "s": scsv.String()} {
+		path := filepath.Join(dir, name+".csv")
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cat.RegisterLocalCSV(name, path, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// s (20 rows) drives; r's shared build keeps most rows in sealed spill
+	// segments under the 2KB budget, so every query reads them.
+	_, ts, client := newTestServer(t, cat, Config{
+		SharedStems:          true,
+		SharedStemSpillBytes: 2048,
+		SpillDir:             spillDir,
+	})
+	const q = "SELECT r.key, s.y FROM r, s WHERE r.a = s.x"
+	if res := postQuery(t, client, ts.URL, map[string]any{"sql": "PREPARE hot AS " + q}); res.status != http.StatusOK {
+		t.Fatalf("PREPARE: status=%d err=%q", res.status, res.errLine)
+	}
+	complete := func(what string, body map[string]any) {
+		t.Helper()
+		res := postQuery(t, client, ts.URL, body)
+		if res.status != http.StatusOK || res.errLine != "" || len(res.rows) != 400 {
+			t.Fatalf("%s: status=%d rows=%d err=%q, want 200 with 400 rows", what, res.status, len(res.rows), res.errLine)
+		}
+	}
+	for _, body := range []map[string]any{
+		{"sql": "EXECUTE hot"},
+		{"sql": q, "engine": "sim"},
+	} {
+		complete(fmt.Sprint(body, " before the fault"), body)
+		segs, err := filepath.Glob(filepath.Join(spillDir, "stems-shared-*", "*.seg"))
+		if err != nil || len(segs) == 0 {
+			t.Fatalf("no shared spill segments under %s (err %v)", spillDir, err)
+		}
+		for _, seg := range segs {
+			if err := os.Truncate(seg, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res := postQuery(t, client, ts.URL, body)
+		if res.status == http.StatusOK && res.errLine == "" {
+			t.Errorf("%v: 200 with %d of 400 rows after a failed spill read, want an error", body, len(res.rows))
+		}
+		complete(fmt.Sprint(body, " after the fault"), body)
+	}
+}

@@ -33,8 +33,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/eddy"
-	"repro/internal/policy"
+	"repro/internal/core"
 	"repro/internal/sql"
 	"repro/internal/tuple"
 )
@@ -58,26 +57,9 @@ func (s *Server) runSubscription(w http.ResponseWriter, r *http.Request, req Que
 	}
 	defer s.queries.Done()
 
-	seed := req.Seed
-	if seed == 0 {
-		seed = s.cfg.Seed
-	}
-	polName := req.Policy
-	if polName == "" {
-		polName = s.cfg.Policy
-	}
-	shards := req.Shards
-	if shards == 0 {
-		shards = s.cfg.Shards
-	}
-	batch := req.Batch
-	if batch == 0 {
-		batch = s.cfg.BatchSize
-	}
-	switch req.Engine {
-	case "", "concurrent", "sim":
-	default:
-		writeJSONError(w, http.StatusBadRequest, fmt.Errorf("unknown engine %q (want concurrent or sim)", req.Engine))
+	key, err := s.planKey(req, canon)
+	if err != nil {
+		writeJSONError(w, http.StatusBadRequest, err)
 		return
 	}
 	switch {
@@ -164,12 +146,8 @@ func (s *Server) runSubscription(w http.ResponseWriter, r *http.Request, req Que
 		tb.positions = append(tb.positions, i)
 	}
 
-	pol, err := policy.ByName(polName, seed)
-	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, err)
-		return
-	}
-	ropts := eddy.Options{Policy: pol, Shards: shards}
+	spec := s.spec(bound, key, req.Engine)
+	spec.Trace = false
 	if len(req.Window) > 0 {
 		// Window keys name tables as the query sees them (aliases included),
 		// mapping onto FROM positions.
@@ -190,9 +168,9 @@ func (s *Server) runSubscription(w http.ResponseWriter, r *http.Request, req Que
 			}
 			wins[i] = n
 		}
-		ropts.WindowFor = func(t int) int { return wins[t] }
+		spec.Options.WindowFor = func(t int) int { return wins[t] }
 	}
-	router, err := eddy.NewRouter(bound.Q, ropts)
+	x, err := core.New(spec)
 	if err != nil {
 		writeJSONError(w, http.StatusBadRequest, err)
 		return
@@ -249,24 +227,8 @@ func (s *Server) runSubscription(w http.ResponseWriter, r *http.Request, req Que
 	}
 
 	// Round 0: the snapshot.
-	var eng *eddy.Concurrent
-	var sim *eddy.Sim
-	var runErr error
-	if req.Engine == "sim" {
-		sim = eddy.NewSim(router)
-		sim.Ctx = qctx
-		sim.OnOutput = emit
-		_, runErr = sim.Run()
-	} else {
-		eng = eddy.NewConcurrent(router, clock.NewReal(s.cfg.TimeCompression))
-		eng.BatchSize = batch
-		eng.Columnar = !s.cfg.RowBatches
-		eng.OnOutput = emit
-		_, runErr = eng.RunContext(qctx)
-	}
-	if runErr == nil && router.Stuck() > 0 {
-		runErr = fmt.Errorf("internal error: %d tuples had no legal route", router.Stuck())
-	}
+	x.SetOutput(emit)
+	_, runErr := x.Run(qctx)
 	if runErr != nil {
 		cause, qs := subscriptionFailure(qctx, runErr, sinkErr)
 		if started || sinkErr != nil {
@@ -307,16 +269,7 @@ func (s *Server) runSubscription(w http.ResponseWriter, r *http.Request, req Que
 			// Delta round: injected singletons take fresh timestamps from
 			// the router's persistent counter, so they join against every
 			// strictly-older build and nothing else.
-			if sim != nil {
-				_, runErr = sim.RunDelta(ts)
-			} else {
-				eng.Reset()
-				eng.OnOutput = emit
-				_, runErr = eng.RunDelta(qctx, ts)
-			}
-			if runErr == nil && router.Stuck() > 0 {
-				runErr = fmt.Errorf("internal error: %d tuples had no legal route", router.Stuck())
-			}
+			_, runErr = x.RunDelta(qctx, ts)
 			if runErr != nil {
 				cause, qs := subscriptionFailure(qctx, runErr, sinkErr)
 				finish(qs, cause, "")

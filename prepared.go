@@ -9,14 +9,9 @@ package stems
 import (
 	"context"
 	"fmt"
-	"time"
 
-	"repro/internal/clock"
-	"repro/internal/eddy"
-	"repro/internal/policy"
+	"repro/internal/core"
 	"repro/internal/query"
-	"repro/internal/stem"
-	"repro/internal/tuple"
 )
 
 // Prepared is a query built once and executable many times. The routing
@@ -25,11 +20,8 @@ import (
 // is not safe for concurrent use: executions must be serial (the server
 // pools multiple shells per plan for parallelism; here, Prepare twice).
 type Prepared struct {
-	iq   *query.Q
-	r    *eddy.Router
-	eng  *eddy.Concurrent
-	opts Options
-	ran  bool
+	iq *query.Q
+	x  *core.Exec
 }
 
 // Prepare builds the query's module graph and concurrent engine for
@@ -55,43 +47,15 @@ func (q *Query) Prepare(opts Options) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	var pol policy.Policy
-	switch opts.Policy {
-	case Fixed:
-		pol = policy.NewFixed()
-	case Lottery:
-		pol = policy.NewLottery(seed)
-	default:
-		pol = policy.NewBenefitCost(seed)
-	}
-	ropts := eddy.Options{Policy: pol, Shards: opts.Shards}
-	if opts.BounceForIndexChoice {
-		ropts.ProbeBounce = stem.BounceIfIndexAM
-	}
-	if opts.SkipBuildTable != "" {
-		ti, ok := q.order[opts.SkipBuildTable]
-		if !ok {
-			return nil, fmt.Errorf("stems: SkipBuildTable %q unknown", opts.SkipBuildTable)
-		}
-		ropts.SkipBuild = true
-		ropts.SkipBuildTable = ti
-	}
-	r, err := eddy.NewRouter(iq, ropts)
+	spec, err := q.spec(iq, opts)
 	if err != nil {
 		return nil, err
 	}
-	comp := opts.TimeCompression
-	if comp == 0 {
-		comp = 0.001
+	x, err := core.New(spec)
+	if err != nil {
+		return nil, err
 	}
-	eng := eddy.NewConcurrent(r, clock.NewReal(comp))
-	eng.BatchSize = opts.BatchSize
-	eng.Columnar = !opts.RowBatches
-	return &Prepared{iq: iq, r: r, eng: eng, opts: opts}, nil
+	return &Prepared{iq: iq, x: x}, nil
 }
 
 // Run executes the prepared query and collects all results.
@@ -104,87 +68,9 @@ func (p *Prepared) Run() (*Result, error) {
 // run may strand batches mid-flight; only clean completions are reused),
 // so an error never poisons the Prepared.
 func (p *Prepared) RunContext(ctx context.Context) (*Result, error) {
-	if p.ran {
-		p.r.Reset(nil)
-		p.eng.Reset()
-		comp := p.opts.TimeCompression
-		if comp == 0 {
-			comp = 0.001
-		}
-		p.eng.SetClock(clock.NewReal(comp))
-	}
-	p.ran = true
-	if p.opts.OnResult != nil {
-		p.eng.OnOutput = func(t *tuple.Tuple, at clock.Time) {
-			p.opts.OnResult(Row{At: time.Duration(at), q: p.iq, t: t})
-		}
-	}
-	outs, err := p.eng.RunContext(ctx)
-	p.eng.OnOutput = nil
+	outs, err := p.x.Run(ctx)
 	if err != nil {
-		p.rebuild()
 		return nil, err
 	}
-	if n := p.r.Stuck(); n > 0 {
-		p.rebuild()
-		return nil, fmt.Errorf("stems: internal error — %d tuples had no legal route", n)
-	}
-
-	res := &Result{}
-	for _, o := range outs {
-		res.Rows = append(res.Rows, Row{At: time.Duration(o.At), q: p.iq, t: o.T})
-		if time.Duration(o.At) > res.Stats.Duration {
-			res.Stats.Duration = time.Duration(o.At)
-		}
-	}
-	res.Stats.RoutingSteps = p.r.Routed()
-	for _, a := range p.r.AMs() {
-		res.Stats.IndexProbes += a.Stats().Probes
-	}
-	for _, s := range p.r.SteMs() {
-		st := s.Stats()
-		res.Stats.SteMBuilds += st.Builds
-		res.Stats.SpilledBuilds += st.SpilledBuilds
-		res.Stats.ReplayMatches += st.ReplayMatches
-	}
-	return res, nil
-}
-
-// rebuild replaces the router and engine after a dirty run, keeping the
-// Prepared usable. Errors are deferred to the next RunContext, which will
-// fail identically at NewRouter if the query became unbuildable (it cannot:
-// the query is immutable once prepared, so rebuild always succeeds).
-func (p *Prepared) rebuild() {
-	seed := p.opts.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	var pol policy.Policy
-	switch p.opts.Policy {
-	case Fixed:
-		pol = policy.NewFixed()
-	case Lottery:
-		pol = policy.NewLottery(seed)
-	default:
-		pol = policy.NewBenefitCost(seed)
-	}
-	ropts := eddy.Options{Policy: pol, Shards: p.opts.Shards}
-	if p.opts.BounceForIndexChoice {
-		ropts.ProbeBounce = stem.BounceIfIndexAM
-	}
-	r, err := eddy.NewRouter(p.iq, ropts)
-	if err != nil {
-		// Unreachable (the graph built once already); keep the old shell,
-		// which Reset can still scrub for a retry.
-		return
-	}
-	comp := p.opts.TimeCompression
-	if comp == 0 {
-		comp = 0.001
-	}
-	p.r = r
-	p.eng = eddy.NewConcurrent(r, clock.NewReal(comp))
-	p.eng.BatchSize = p.opts.BatchSize
-	p.eng.Columnar = !p.opts.RowBatches
-	p.ran = false
+	return newResult(p.iq, outs, p.x.Counters()), nil
 }

@@ -28,20 +28,18 @@ package stems
 import (
 	"context"
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/core"
 	"repro/internal/eddy"
-	"repro/internal/policy"
 	"repro/internal/pred"
 	"repro/internal/query"
 	"repro/internal/schema"
 	"repro/internal/source"
 	"repro/internal/stem"
-	"repro/internal/trace"
 	"repro/internal/tuple"
 	"repro/internal/value"
 )
@@ -559,183 +557,131 @@ func (q *Query) Run(opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	spec, err := q.spec(iq, opts)
+	if err != nil {
+		return nil, err
+	}
+	x, err := core.New(spec)
+	if err != nil {
+		return nil, err
+	}
+	defer x.Close()
+	ctx := opts.Context
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	outs, err := x.Run(ctx)
+	if err != nil {
+		return nil, err
+	}
+	res := newResult(iq, outs, x.Counters())
+	if opts.Explain {
+		res.Explain = x.Trace().Report()
+	}
+	return res, nil
+}
+
+// policyNames maps the facade's policies onto policy.ByName.
+var policyNames = [...]string{BenefitCost: "benefitcost", Fixed: "fixed", Lottery: "lottery"}
+
+// spec translates facade options into an execution spec for iq, resolving
+// table names to positions. Run-scoped state (the modeled governor) is
+// created fresh per call.
+func (q *Query) spec(iq *query.Q, opts Options) (core.Spec, error) {
 	seed := opts.Seed
 	if seed == 0 {
 		seed = 1
 	}
-	ropts := eddy.Options{Policy: newPolicy(opts.Policy, seed), Shards: opts.Shards}
+	spec := core.Spec{
+		Q:           iq,
+		Options:     eddy.Options{Shards: opts.Shards},
+		Seed:        seed,
+		BatchSize:   opts.BatchSize,
+		Columnar:    !opts.RowBatches,
+		Compression: opts.TimeCompression,
+		Deadline:    clock.Time(opts.Deadline),
+		Trace:       opts.Explain,
+		SpillBudget: opts.MemoryBudgetBytes,
+		SpillDir:    opts.SpillDir,
+	}
+	if uint(opts.Policy) < uint(len(policyNames)) {
+		spec.Policy = policyNames[opts.Policy]
+	}
+	if opts.Engine == Concurrent {
+		spec.Engine = core.Concurrent
+	}
 	if opts.BounceForIndexChoice {
-		ropts.ProbeBounce = stem.BounceIfIndexAM
+		spec.Options.ProbeBounce = stem.BounceIfIndexAM
 	}
 	if opts.SkipBuildTable != "" {
 		ti, ok := q.order[opts.SkipBuildTable]
 		if !ok {
-			return nil, fmt.Errorf("stems: SkipBuildTable %q unknown", opts.SkipBuildTable)
+			return spec, fmt.Errorf("stems: SkipBuildTable %q unknown", opts.SkipBuildTable)
 		}
-		ropts.SkipBuild = true
-		ropts.SkipBuildTable = ti
+		spec.Options.SkipBuild = true
+		spec.Options.SkipBuildTable = ti
 	}
-	var spillGov *stem.Governor
-	switch {
-	case opts.MemoryBudgetBytes > 0:
-		if opts.MemoryBudget > 0 {
-			return nil, fmt.Errorf("stems: MemoryBudget (modeled) and MemoryBudgetBytes (real spill) are mutually exclusive")
+	if opts.MemoryBudget > 0 {
+		if opts.MemoryBudgetBytes > 0 {
+			return spec, fmt.Errorf("stems: MemoryBudget (modeled) and MemoryBudgetBytes (real spill) are mutually exclusive")
 		}
-		dir := opts.SpillDir
-		if dir == "" {
-			dir = os.TempDir()
-		}
-		g, err := stem.NewSpillGovernor(opts.MemoryBudgetBytes, stem.AllocByProbes, dir)
-		if err != nil {
-			return nil, err
-		}
-		spillGov = g
-		defer spillGov.Close()
-		ropts.Governor = spillGov
-	case opts.MemoryBudget > 0:
 		pen := opts.SpillPenalty
 		if pen == 0 {
 			pen = 20 * time.Millisecond
 		}
-		ropts.Governor = stem.NewGovernor(opts.MemoryBudget, stem.AllocByProbes, clock.Duration(pen))
+		spec.Options.Governor = stem.NewGovernor(opts.MemoryBudget, stem.AllocByProbes, clock.Duration(pen))
 	}
 	if len(opts.Window) > 0 {
 		wins := make([]int, len(q.tables))
 		for name, w := range opts.Window {
 			ti, ok := q.order[name]
 			if !ok {
-				return nil, fmt.Errorf("stems: Window table %q unknown", name)
+				return spec, fmt.Errorf("stems: Window table %q unknown", name)
 			}
 			wins[ti] = w
 		}
-		ropts.WindowFor = func(t int) int { return wins[t] }
+		spec.Options.WindowFor = func(t int) int { return wins[t] }
 	}
 	if len(opts.Shared) > 0 {
-		states := make([]*stem.SharedState, len(q.tables))
+		spec.Shared = make([]*stem.SharedState, len(q.tables))
 		for name, ss := range opts.Shared {
 			ti, ok := q.order[name]
 			if !ok {
-				return nil, fmt.Errorf("stems: Shared table %q unknown", name)
+				return spec, fmt.Errorf("stems: Shared table %q unknown", name)
 			}
 			if ss == nil || ss.inner == nil {
-				return nil, fmt.Errorf("stems: Shared state for %q is nil", name)
+				return spec, fmt.Errorf("stems: Shared state for %q is nil", name)
 			}
-			states[ti] = ss.inner
-		}
-		ropts.SharedFor = func(t int) *stem.SharedState { return states[t] }
-	}
-	r, err := eddy.NewRouter(iq, ropts)
-	if err != nil {
-		return nil, err
-	}
-
-	var outs []eddy.Output
-	var collector *trace.Collector
-	switch opts.Engine {
-	case Concurrent:
-		if opts.OnPartial != nil {
-			return nil, fmt.Errorf("stems: OnPartial requires the simulation engine")
-		}
-		comp := opts.TimeCompression
-		if comp == 0 {
-			comp = 0.001
-		}
-		eng := eddy.NewConcurrent(r, clock.NewReal(comp))
-		eng.BatchSize = opts.BatchSize
-		eng.Columnar = !opts.RowBatches
-		if opts.OnResult != nil {
-			eng.OnOutput = func(t *tuple.Tuple, at clock.Time) {
-				opts.OnResult(Row{At: time.Duration(at), q: iq, t: t})
-			}
-		}
-		if opts.Explain {
-			collector = trace.NewCollector(r.Modules())
-			collector.AttachConcurrent(eng)
-		}
-		ctx := opts.Context
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		outs, err = eng.RunContext(ctx)
-	default:
-		sim := eddy.NewSim(r)
-		sim.Deadline = clock.Time(opts.Deadline)
-		sim.Ctx = opts.Context
-		if opts.OnResult != nil {
-			sim.OnOutput = func(t *tuple.Tuple, at clock.Time) {
-				opts.OnResult(Row{At: time.Duration(at), q: iq, t: t})
-			}
-		}
-		if opts.OnPartial != nil {
-			all := iq.AllTables()
-			sim.OnEmit = func(t *tuple.Tuple, at clock.Time) {
-				if t.EOT == nil && !t.Seed && t.Span.Count() >= 2 && t.Span != all {
-					opts.OnPartial(Row{At: time.Duration(at), q: iq, t: t})
-				}
-			}
-		}
-		if opts.Explain {
-			collector = trace.NewCollector(r.Modules())
-			collector.Attach(sim)
-		}
-		outs, err = sim.Run()
-	}
-	if err != nil {
-		return nil, err
-	}
-	if spillGov != nil {
-		if serr := spillGov.Err(); serr != nil {
-			return nil, fmt.Errorf("stems: spill I/O failed (results fell back to resident storage): %w", serr)
+			spec.Shared[ti] = ss.inner
 		}
 	}
-	for name, ss := range opts.Shared {
-		if serr := ss.inner.Err(); serr != nil {
-			return nil, fmt.Errorf("stems: shared state for %q failed a spill read (results may be incomplete): %w", name, serr)
+	if onResult := opts.OnResult; onResult != nil {
+		spec.OnOutput = func(t *tuple.Tuple, at clock.Time) {
+			onResult(Row{At: time.Duration(at), q: iq, t: t})
 		}
 	}
-	if n := r.Stuck(); n > 0 {
-		return nil, fmt.Errorf("stems: internal error — %d tuples had no legal route", n)
+	if onPartial := opts.OnPartial; onPartial != nil {
+		spec.OnPartial = func(t *tuple.Tuple, at clock.Time) {
+			onPartial(Row{At: time.Duration(at), q: iq, t: t})
+		}
 	}
-
-	res := buildResult(iq, r, outs)
-	if collector != nil {
-		res.Explain = collector.Report()
-	}
-	return res, nil
+	return spec, nil
 }
 
-// newPolicy instantiates the routing policy for a run; seed must already be
-// defaulted.
-func newPolicy(p Policy, seed int64) policy.Policy {
-	switch p {
-	case Fixed:
-		return policy.NewFixed()
-	case Lottery:
-		return policy.NewLottery(seed)
-	default:
-		return policy.NewBenefitCost(seed)
-	}
-}
-
-// buildResult assembles a Result from engine outputs and the router's
-// cumulative counters.
-func buildResult(iq *query.Q, r *eddy.Router, outs []eddy.Output) *Result {
-	res := &Result{}
+// newResult assembles a Result from engine outputs and the run's counters.
+func newResult(iq *query.Q, outs []eddy.Output, c core.Counters) *Result {
+	res := &Result{Stats: RunStats{
+		RoutingSteps:  c.Routed,
+		IndexProbes:   c.Probes,
+		SteMBuilds:    c.Builds,
+		SpilledBuilds: c.SpilledBuilds,
+		ReplayMatches: c.ReplayMatches,
+	}}
 	for _, o := range outs {
 		res.Rows = append(res.Rows, Row{At: time.Duration(o.At), q: iq, t: o.T})
 		if time.Duration(o.At) > res.Stats.Duration {
 			res.Stats.Duration = time.Duration(o.At)
 		}
-	}
-	res.Stats.RoutingSteps = r.Routed()
-	for _, a := range r.AMs() {
-		res.Stats.IndexProbes += a.Stats().Probes
-	}
-	for _, s := range r.SteMs() {
-		st := s.Stats()
-		res.Stats.SteMBuilds += st.Builds
-		res.Stats.SpilledBuilds += st.SpilledBuilds
-		res.Stats.ReplayMatches += st.ReplayMatches
 	}
 	return res
 }

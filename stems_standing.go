@@ -19,10 +19,8 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
-	"repro/internal/clock"
-	"repro/internal/eddy"
+	"repro/internal/core"
 	"repro/internal/query"
 	"repro/internal/source"
 	"repro/internal/tuple"
@@ -40,14 +38,11 @@ import (
 // window are dropped, not bounced — delta results then reflect the window
 // contents at arrival time, as a streaming join should.
 type Standing struct {
-	mu       sync.Mutex
-	iq       *query.Q
-	r        *eddy.Router
-	sim      *eddy.Sim
-	eng      *eddy.Concurrent
-	ctx      context.Context
-	onResult func(Row)
-	closed   bool
+	mu     sync.Mutex
+	iq     *query.Q
+	x      *core.Exec
+	ctx    context.Context
+	closed bool
 }
 
 // Open validates the query, runs the initial round under opts, and returns
@@ -86,68 +81,23 @@ func (q *Query) Open(opts Options) (*Standing, *Result, error) {
 			return nil, nil, fmt.Errorf("stems: standing queries require scan access methods (table %q has an index AM)", q.tables[am.Table].Name)
 		}
 	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	ropts := eddy.Options{Policy: newPolicy(opts.Policy, seed), Shards: opts.Shards}
-	if len(opts.Window) > 0 {
-		wins := make([]int, len(q.tables))
-		for name, w := range opts.Window {
-			ti, ok := q.order[name]
-			if !ok {
-				return nil, nil, fmt.Errorf("stems: Window table %q unknown", name)
-			}
-			wins[ti] = w
-		}
-		ropts.WindowFor = func(t int) int { return wins[t] }
-	}
-	r, err := eddy.NewRouter(iq, ropts)
+	spec, err := q.spec(iq, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-
-	st := &Standing{iq: iq, r: r, onResult: opts.OnResult}
-	st.ctx = opts.Context
+	x, err := core.New(spec)
+	if err != nil {
+		return nil, nil, err
+	}
+	st := &Standing{iq: iq, x: x, ctx: opts.Context}
 	if st.ctx == nil {
 		st.ctx = context.Background()
 	}
-	var outs []eddy.Output
-	switch opts.Engine {
-	case Concurrent:
-		comp := opts.TimeCompression
-		if comp == 0 {
-			comp = 0.001
-		}
-		st.eng = eddy.NewConcurrent(r, clock.NewReal(comp))
-		st.eng.BatchSize = opts.BatchSize
-		st.eng.Columnar = !opts.RowBatches
-		st.eng.OnOutput = st.emit()
-		outs, err = st.eng.RunContext(st.ctx)
-	default:
-		st.sim = eddy.NewSim(r)
-		st.sim.Ctx = opts.Context
-		st.sim.OnOutput = st.emit()
-		outs, err = st.sim.Run()
-	}
+	outs, err := x.Run(st.ctx)
 	if err != nil {
 		return nil, nil, err
 	}
-	if n := r.Stuck(); n > 0 {
-		return nil, nil, fmt.Errorf("stems: internal error — %d tuples had no legal route", n)
-	}
-	return st, buildResult(iq, r, outs), nil
-}
-
-// emit adapts onResult to the engines' OnOutput hook; nil when unset. The
-// Concurrent engine's Reset clears its hooks, so every round re-installs it.
-func (s *Standing) emit() func(*tuple.Tuple, clock.Time) {
-	if s.onResult == nil {
-		return nil
-	}
-	return func(t *tuple.Tuple, at clock.Time) {
-		s.onResult(Row{At: time.Duration(at), q: s.iq, t: t})
-	}
+	return st, newResult(iq, outs, x.Counters()), nil
 }
 
 // Insert runs one delta round: the rows join against everything that arrived
@@ -202,24 +152,12 @@ func (s *Standing) InsertValues(table string, rows [][]Value) (*Result, error) {
 		ts[i] = tuple.NewSingleton(n, ti, row)
 	}
 
-	var outs []eddy.Output
-	var err error
-	if s.eng != nil {
-		s.eng.Reset()
-		s.eng.OnOutput = s.emit()
-		outs, err = s.eng.RunDelta(s.ctx, ts)
-	} else {
-		outs, err = s.sim.RunDelta(ts)
-	}
+	outs, err := s.x.RunDelta(s.ctx, ts)
 	if err != nil {
 		s.closed = true
 		return nil, err
 	}
-	if n := s.r.Stuck(); n > 0 {
-		s.closed = true
-		return nil, fmt.Errorf("stems: internal error — %d tuples had no legal route", n)
-	}
-	return buildResult(s.iq, s.r, outs), nil
+	return newResult(s.iq, outs, s.x.Counters()), nil
 }
 
 // Close releases the standing query. The resident state is plain memory —
